@@ -2,17 +2,24 @@
 """Benchmark the Cython kernel backend against the pure-Python fallback.
 
 Times the scalar kernels directly and one end-to-end geodesic integration per
-backend.  Run from the repository root after ``pip install -e .``:
+backend.  The kernel arguments are the seeded distributions of
+``perfbench/kernels.py``.  The script puts the checkout's ``src`` on the
+path of both processes, so it needs no install:
 
     python3 benchmarks/bench_backends.py
 """
 
-import random
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from h5geo._core import _kernels_py
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from h5geo._core import _kernels_py  # noqa: E402
+from perfbench.kernels import kernel_args  # noqa: E402
 
 try:
     from h5geo._core import _kernels_cy
@@ -28,28 +35,7 @@ def _time_kernel(fn, calls):
 
 
 def bench_kernels(n=20000, seed=7):
-    rng = random.Random(seed)
-    cases = {
-        "carlson_rf": [
-            tuple(rng.uniform(1e-6, 10.0) for _ in range(3)) for _ in range(n)
-        ],
-        "am_sncndn": [
-            (rng.uniform(-20.0, 20.0), rng.uniform(0.0, 0.999)) for _ in range(n)
-        ],
-        "ellint_e_core": [
-            (rng.uniform(-10.0, 10.0), rng.uniform(0.0, 0.999)) for _ in range(n)
-        ],
-        "full_rhs": [
-            tuple(rng.uniform(-2.0, 2.0) for _ in range(5))
-            + ([rng.uniform(-2.0, 2.0) for _ in range(5)],)
-            for _ in range(n)
-        ],
-        "hyper_rhs": [
-            (rng.uniform(0.3, 2.0), rng.uniform(0.2, 1.3))
-            + tuple(rng.uniform(-2.0, 2.0) for _ in range(7))
-            for _ in range(n)
-        ],
-    }
+    cases = kernel_args(seed, n)
     print(f"{'kernel':<16}{'python [ms]':>14}{'cython [ms]':>14}{'speedup':>10}")
     for name, calls in cases.items():
         t_py = _time_kernel(getattr(_kernels_py, name), calls)
@@ -83,7 +69,11 @@ def bench_end_to_end():
     print("\nend-to-end reduced integration, t in [0, 20], rel_tol 1e-10 (s/run):")
     results = {}
     for env_flag in (None, "1"):
-        env = {"PATH": "/usr/bin:/bin:/usr/local/bin"}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        env.pop("H5GEO_PURE_PY", None)
         if env_flag is not None:
             env["H5GEO_PURE_PY"] = env_flag
         proc = subprocess.run(

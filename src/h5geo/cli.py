@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -287,9 +285,8 @@ def cmd_figures(args, out=sys.stdout) -> int:
 
 def _sweep_one(i: int, run: dict, out_dir: Path) -> dict:
     mode = run.get("mode")
-    flags = [str(x) for pair in (
-        (f"--{k.replace('_', '-')}", v) for k, v in run.items() if k != "mode"
-    ) for x in pair]
+    # one token per flag: argparse reads a separate "-3.5e-18" as an option name
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in run.items() if k != "mode"]
     path = out_dir / f"run_{i:04d}.{ 'json' if mode == 'classify' else 'csv' }"
     argv = [mode, *flags]
     if mode == "classify":
@@ -312,10 +309,8 @@ def cmd_sweep(args, out=sys.stdout) -> int:
     runs = config.get("runs", [])
     out_dir = Path(args.out_dir or config.get("out_dir", "sweep_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("H5GEO_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda iv: _sweep_one(iv[0], iv[1], out_dir), enumerate(runs)))
-    index = {"version": __version__, "results": sorted(results, key=lambda r: r["run"])}
+    results = [_sweep_one(i, run, out_dir) for i, run in enumerate(runs)]
+    index = {"version": __version__, "results": results}
     index_path = out_dir / "index.json"
     index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
     print(str(index_path), file=out)
@@ -369,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args, out=sys.stdout) -> int:
-    return args.func(args, out=out)
+def _dispatch(args, out=None) -> int:
+    # the stream is looked up per call, so a redirected sys.stdout is honoured
+    return args.func(args, out=sys.stdout if out is None else out)
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 from math import pi, sqrt
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -42,7 +41,6 @@ from h5geo.reduction import (
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 
 def _verdict(capsys, n: int, ok: bool, detail: str):
@@ -357,7 +355,7 @@ def test_criterion_09_asymptotics(capsys):
     )
 
 
-def test_criterion_10_formula_conflict_audit(capsys):
+def test_criterion_10_formula_conflict_audit(capsys, tmp_path):
     hs = case_state("g")
     c = charges_from_state(hs)
     t_eval = np.linspace(0.0, 10.0, 2001)
@@ -366,7 +364,6 @@ def test_criterion_10_formula_conflict_audit(capsys):
         c, trace.times,
         trace.ys[:, 0], trace.ys[:, 1], trace.ys[:, 2], trace.ys[:, 3],
     )
-    ARTIFACT_DIR.mkdir(exist_ok=True)
     artifact = {
         "description": (
             "Sup-norm error of the three candidate theta2'/theta3' rate "
@@ -381,12 +378,12 @@ def test_criterion_10_formula_conflict_audit(capsys):
             "two printed variants do not"
         ),
     }
-    path = ARTIFACT_DIR / "theta23_variant_audit.json"
+    path = tmp_path / "theta23_variant_audit.json"
     path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     sub = max(audit["substituted"].values())
     others = min(min(audit["bare-c0"].values()), min(audit["no-c0"].values()))
     ok = sub < 1e-5 and others > 1e-2 and path.exists()
     _verdict(capsys, 10, ok,
         f"substituted variant error {sub:.2e}, best alternative {others:.2e}, "
-        f"artifact written to {path.relative_to(Path(__file__).parent.parent)}",
+        f"artifact written to {path}",
     )

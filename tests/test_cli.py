@@ -1,8 +1,9 @@
 """Command-line interface: exit codes, determinism, schema, roundtrips."""
 
+import contextlib
 import csv
+import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -163,16 +164,48 @@ def test_sweep(tmp_path):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    env = dict(os.environ, H5GEO_THREADS="2")
     r = subprocess.run(
         CLI + ["sweep", "--config", str(cfg_path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert r.returncode == 0
     index = json.loads((tmp_path / "out" / "index.json").read_text())
     assert [e["exit_code"] for e in index["results"]] == [0, 0]
     assert (tmp_path / "out" / "run_0000.json").exists()
     assert (tmp_path / "out" / "run_0001.csv").exists()
+
+
+def test_sweep_accepts_negative_exponent_values(tmp_path):
+    """A run value such as -3.5e-18 reaches argparse as part of its flag token."""
+    from h5geo import cli
+
+    cfg = {
+        "runs": [
+            {"mode": "classify", "c0": 1.0, "c1": 0.5, "c2": 0.3, "c3": -3.5e-18},
+            {"mode": "quadrature", "c0": 1.0, "c1": 0.5, "c2": 0.3, "c3": -3.5e-18,
+             "r0": 1.2, "t_end": 1.0, "samples": 5},
+        ],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out_dir)])
+    index = json.loads((out_dir / "index.json").read_text())
+    assert [e["exit_code"] for e in index["results"]] == [0, 0]
+    assert code == 0
+    assert json.loads((out_dir / "run_0000.json").read_text())["case"] == "f"
+
+
+def test_main_writes_to_the_current_stdout():
+    """The output stream is resolved when a command runs, not when h5geo.cli is imported."""
+    from h5geo import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["classify", *CHARGES_F])
+    assert code == 0
+    assert "case=f" in buf.getvalue()
 
 
 def test_version_flag():

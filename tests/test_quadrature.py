@@ -1,12 +1,14 @@
 """Closed-form radial/angular quadrature against independent oracles."""
 
-from math import pi, sqrt
+from math import fmod, inf, pi, sqrt
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from conftest import CASE_CHARGES, CASE_PROFILES, case_state, tau_oracle
-from h5geo.classify import TrajectoryKind, classify, profile_from_charges
+from conftest import CASE_CHARGES, CASE_PROFILES, case_state, random_hyper_state, tau_oracle
+from h5geo.classify import CaseTag, TrajectoryKind, classify, profile_from_charges
 from h5geo.dynamics import IntegratorConfig, integrate_reduced, solve_dopri
 from h5geo.elliptic import complete_E
 from h5geo.errors import ChartSingularityError, DomainError
@@ -326,3 +328,177 @@ def test_reconstructed_z_matches_full_ode():
     full0 = from_reduced(hyper_to_cart(hs), z=0.0)
     ref = integrate_full(full0, (0.0, 4.0), TIGHT, t_eval=t_grid)
     assert np.max(np.abs(amb.ys - ref.ys)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array radial solve against the former scalar inversion
+# ---------------------------------------------------------------------------
+
+_BRENTQ_KW = dict(xtol=1e-13, rtol=8.9e-16)
+
+
+def _scalar_radius(sol, t):
+    """Oracle: fold one time and invert tau(r) by brentq on r, one sample at a time.
+
+    This is the inversion the radial layer used before the array solve, run
+    on the same amplitude-form tau (through tau_of_radius).
+    """
+    p = sol.profile
+    psi = sol.psi0 + sol.sigma * (t - sol.t0)
+    if sol.r_hi < inf:
+        m = fmod(psi, 2.0 * sol.tau_hi)
+        if m < 0.0:
+            m += 2.0 * sol.tau_hi
+        if m > sol.tau_hi:
+            m = 2.0 * sol.tau_hi - m
+    else:
+        m = abs(psi)
+    if m <= 0.0:
+        return sol.r_lo
+    if sol.r_hi < inf:
+        if m >= sol.tau_hi:
+            return sol.r_hi
+        lo, hi = sol.r_lo, sol.r_hi
+    else:
+        lo, hi = sol.r_lo, max(2.0 * sol.r_lo, 1.0)
+        while tau_of_radius(p, hi) < m:
+            lo, hi = hi, 2.0 * hi
+    return brentq(lambda r: tau_of_radius(p, r) - m, lo, hi, **_BRENTQ_KW)
+
+
+def _radial_setup(tag, sign=1):
+    """(profile, r0, c4) for every tag; c and e have no charge realization."""
+    if tag in CASE_PROFILES:
+        p = CASE_PROFILES[tag]
+        return p, classify(p).r0 + 0.1, 0.5
+    hs = case_state(tag, sign_pr=sign)
+    c = charges_from_state(hs)
+    return profile_from_charges(c), hs.r, c.c4
+
+
+def _assert_matches_oracle(sol, times, r):
+    ref = np.array([_scalar_radius(sol, float(t)) for t in times])
+    assert np.all(np.abs(r - ref) <= 1e-12 * np.maximum(1.0, ref))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("tag", ["a", "b", "c", "d", "e", "f", "g"])
+def test_array_radius_matches_scalar_oracle(tag, sign):
+    """Type II over 3+ periods either way; Type I out to r >= 1e3 and through its fold."""
+    p, r0, c4 = _radial_setup(tag, sign)
+    sol = RadialSolution(p, r0, sign, 0.0, c4)
+    if sol.traj.kind is TrajectoryKind.TYPE_II:
+        t_end = 3.5 * sol.period
+    else:  # until r = 2e3 on the outward branch
+        t_end = (tau_of_radius(p, 2e3) + tau_of_radius(p, r0)) / sol.sigma
+    lo, hi = sol.exit_times
+    t_lo = lo + 1e-3 if lo is not None else -t_end
+    t_hi = hi - 1e-3 if hi is not None else t_end
+    times = np.concatenate([np.linspace(t_lo, t_hi, 300), [0.0]])
+    r = sol.radius_of_time(times)
+    assert r.shape == times.shape
+    if sol.traj.kind is TrajectoryKind.TYPE_I and hi is None:
+        assert r.max() >= 1e3
+    _assert_matches_oracle(sol, times, r)
+    assert abs(r[-1] - r0) <= 1e-12 * max(1.0, r0)
+    # the scalar call is the one-sample array call
+    assert sol.radius_of_time(float(times[7])) == r[7]
+    assert isinstance(sol.radius_of_time(float(times[7])), float)
+
+
+def test_array_radius_at_chart_exit_truncation():
+    """geodesic_quadrature truncates an inward C_q = 0 orbit at r = 0; r matches the oracle."""
+    c = CASE_CHARGES["b"]
+    hs = state_from_charges(c, 1.0, sign_pr=-1)
+    ana = geodesic_quadrature(c, hs, np.linspace(0.0, 5.0, 51))
+    assert ana.exit_reason == "chart-exit:r"
+    sol = RadialSolution(profile_from_charges(c), hs.r, -1, 0.0, c.c4)
+    assert ana.times[-1] < sol.exit_times[1]
+    _assert_matches_oracle(sol, ana.times, ana.ys[:, 0])
+    assert ana.ys[-1, 0] < 0.1
+
+
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("tag", ["b", "f", "g"])
+def test_geodesic_quadrature_on_one_and_two_samples(tag, samples):
+    hs = case_state(tag)
+    c = charges_from_state(hs)
+    grid = np.linspace(0.3, 1.7, samples)
+    # the initial state is anchored at the first grid time
+    ana = geodesic_quadrature(c, hs, grid)
+    assert ana.ys.shape == (samples, 8)
+    assert ana.ys[0, 0] == pytest.approx(hs.r, abs=1e-12)
+    assert ana.ys[0, 4] == pytest.approx(hs.pr, abs=1e-9)
+    assert tuple(ana.ys[0, 1:4]) == pytest.approx((hs.th1, hs.th2, hs.th3), abs=1e-12)
+    sol = RadialSolution(profile_from_charges(c), hs.r, 1 if hs.pr >= 0 else -1, 0.3, c.c4)
+    _assert_matches_oracle(sol, grid, ana.ys[:, 0])
+    assert np.array_equal(sol.radius_of_time(grid), ana.ys[:, 0])
+
+
+def _tau_mpmath(p, r):
+    """tau(r) = integral of x sqrt(1+x^2)/sqrt(f(x)) from r_lo, by mpmath quadrature.
+
+    The roots of f come from the profile's coefficients at 30 digits; a simple
+    root at r_lo is regularized by x = r_lo + u^2, with f factored so that no
+    cancellation occurs near it.
+    """
+    with mp.workdps(30):
+        a, b, cq = mp.mpf(p.a), mp.mpf(p.b), mp.mpf(p.c_q)
+        r = mp.mpf(r)
+        if p.tag in (CaseTag.B_SUB_UNIT_A_C_ZERO, CaseTag.C_SUPER_UNIT_A_C_ZERO):
+            return mp.quad(lambda x: mp.sqrt(1 + x * x) / mp.sqrt(a * x * x + b), [0, r])
+        if p.tag is CaseTag.A_ZERO:
+            s_lo = -cq / b
+            rest = lambda x: b  # noqa: E731
+        else:
+            sq = mp.sqrt(b * b - 4 * a * cq)
+            roots = sorted([(-b - sq) / (2 * a), (-b + sq) / (2 * a)])
+            # r_lo^2 is the larger root outside (Type I), the smaller inside (tag g)
+            s_lo, s_other = roots if p.tag is CaseTag.G_NEGATIVE_A else roots[::-1]
+            rest = lambda x: a * (x * x - s_other)  # noqa: E731
+        rho = mp.sqrt(s_lo)
+
+        def integrand(u):
+            x = rho + u * u
+            return 2 * x * mp.sqrt(1 + x * x) / mp.sqrt((2 * rho + u * u) * rest(x))
+
+        return mp.quad(integrand, [0, mp.sqrt(r - rho)])
+
+
+@pytest.mark.parametrize("tag", ["a", "b", "c", "d", "e", "f", "g"])
+def test_amplitude_tau_matches_mpmath(tag):
+    p = _all_profiles()[tag]
+    traj = classify(p)
+    if traj.kind is TrajectoryKind.TYPE_II:
+        radii = np.linspace(traj.r1, traj.r2, 9)[1:-1]
+    else:
+        radii = traj.r0 + np.array([0.05, 0.3, 1.0, 2.5, 40.0, 1e3])
+    for r in radii:
+        expect = _tau_mpmath(p, float(r))
+        got = tau_of_radius(p, float(r))
+        assert abs(got - float(expect)) <= 1e-13 * abs(float(expect))
+
+
+def _period_mpmath(p, c4):
+    """2 pref E(k)/sigma for tag g at 30 digits, from the profile's roots."""
+    with mp.workdps(30):
+        b2 = mp.mpf(p.beta_sq)
+        al2 = mp.mpf(p.alpha) ** 2
+        pref = mp.sqrt((b2 + 1) / -mp.mpf(p.a))
+        return float(2 * pref * mp.ellipe((b2 - al2) / (b2 + 1)) / mp.sqrt(2 * mp.mpf(c4)))
+
+
+def test_type_ii_period_matches_complete_integral():
+    rng = np.random.default_rng(11)
+    charge_sets = [CASE_CHARGES["g"]]
+    while len(charge_sets) < 8:
+        c = charges_from_state(random_hyper_state(rng, c0=rng.uniform(2.2, 4.0)))
+        p = profile_from_charges(c)
+        if p.tag is CaseTag.G_NEGATIVE_A:
+            charge_sets.append(c)
+    for c in charge_sets:
+        p = profile_from_charges(c)
+        traj = classify(p)
+        sol = RadialSolution(p, 0.5 * (traj.r1 + traj.r2), 1, 0.0, c.c4)
+        expect = _period_mpmath(p, c.c4)
+        assert abs(sol.period - expect) <= 1e-13 * expect
